@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate layers: DP mechanisms, transforms,
-// prefix sums, quadtree construction, tensor ops, model steps, and the
-// end-to-end STPT pipeline at 1 vs N exec threads.
+// prefix sums, quadtree construction, tensor ops, model steps, dataset CSV
+// loading, and the end-to-end STPT pipeline at 1 vs N exec threads.
 //
 // The hot kernel families (MatMul, radix-2 FFT, Haar DWT, prefix-sum
 // scans, Laplace batch sampling) are registered once per available kernel
@@ -16,8 +16,12 @@
 #include <benchmark/benchmark.h>
 
 #include <complex>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +31,7 @@
 #include "exec/thread_pool.h"
 #include "grid/consumption_matrix.h"
 #include "grid/quadtree.h"
+#include "io/csv.h"
 #include "kernels/backend.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
@@ -107,7 +112,8 @@ void BM_MatMul(benchmark::State& state) {
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 // MatMul wall clock vs exec worker count; args are {matrix size, threads}.
-// The 1-thread rows are the serial baseline for the speedup trajectory.
+// The 1-thread rows are the serial baseline for the speedup trajectory; the
+// 32 and 64 rows (the GRU hidden-state shapes) place kMatMulParallelFlops.
 void BM_MatMulThreads(benchmark::State& state) {
   exec::SetThreads(static_cast<int>(state.range(1)));
   Rng rng(9);
@@ -121,10 +127,65 @@ void BM_MatMulThreads(benchmark::State& state) {
   exec::SetThreads(0);  // restore env/hardware default
 }
 BENCHMARK(BM_MatMulThreads)
+    ->Args({32, 1})
+    ->Args({32, 4})
+    ->Args({64, 1})
+    ->Args({64, 4})
     ->Args({256, 1})
     ->Args({256, 2})
     ->Args({256, 4})
     ->Unit(benchmark::kMicrosecond);
+
+// A CER-shaped dataset CSV (200 households, 60 days, ~4.8 MB) held in memory.
+const std::string& DatasetCsvText() {
+  static const std::string* text = [] {
+    datagen::DatasetSpec spec = datagen::CerSpec();
+    spec.num_households = 200;
+    datagen::GenerateOptions opts;
+    opts.grid_x = opts.grid_y = 16;
+    opts.hours = 60 * 24;
+    Rng rng(11);
+    auto ds = datagen::GenerateDataset(spec, datagen::SpatialDistribution::kUniform,
+                                       opts, rng);
+    const auto path =
+        (std::filesystem::temp_directory_path() / "stpt_bench_micro_dataset.csv").string();
+    if (!ds.ok() || !io::WriteDatasetCsv(*ds, path).ok()) std::abort();
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::remove(path.c_str());
+    return new std::string(bytes.str());
+  }();
+  return *text;
+}
+
+// Dataset CSV load throughput (bytes_per_second = file MB/s).
+void BM_ReadDatasetCsv(benchmark::State& state) {
+  const std::string& text = DatasetCsvText();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    auto ds = io::ReadDatasetCsv(in);
+    if (!ds.ok()) state.SkipWithError(ds.status().ToString().c_str());
+    benchmark::DoNotOptimize(ds);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_ReadDatasetCsv)->Unit(benchmark::kMillisecond);
+
+// The floor under BM_ReadDatasetCsv: the same bytes pulled through
+// istream::read in the parser's 1 MiB blocks, with no parsing at all.
+void BM_ReadDatasetCsvFloor(benchmark::State& state) {
+  const std::string& text = DatasetCsvText();
+  std::vector<char> block(size_t{1} << 20);
+  for (auto _ : state) {
+    std::istringstream in(text);
+    while (in.read(block.data(), static_cast<std::streamsize>(block.size()))) {
+    }
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_ReadDatasetCsvFloor)->Unit(benchmark::kMillisecond);
 
 // End-to-end STPT publish (detail scale, shortened training) at 1 vs 4
 // exec threads — the headline wall-clock number for the pipeline.

@@ -1,50 +1,161 @@
 #include "io/csv.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <concepts>
+#include <cstring>
 #include <fstream>
-#include <iomanip>
+#include <memory>
 #include <new>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
+
+#include "obs/trace.h"
 
 namespace stpt::io {
+namespace {
 
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream ss(line);
-  while (std::getline(ss, field, ',')) out.push_back(field);
-  if (!line.empty() && line.back() == ',') out.push_back("");
-  return out;
+// Readers pull the stream in blocks of this size and writers flush at it,
+// so a file of any size costs at most one block of buffer memory.
+constexpr size_t kBlockBytes = size_t{1} << 20;
+
+// Splits a stream into rows: one memchr per row over the current block, the
+// partial last row carried over into the next block. One trailing '\r' is
+// stripped, so CRLF files read the same.
+class RowScanner {
+ public:
+  explicit RowScanner(std::istream& in) : in_(in), buf_(new char[kBlockBytes]) {}
+
+  // Stores the next row in *row, skipping empty ones when `skip_blank`. False
+  // at the end of the input, or with too_long() set at a row (newline
+  // included) that does not fit in one block.
+  bool Next(std::string_view* row, bool skip_blank = true) {
+    for (;;) {
+      char* const first = buf_.get() + begin_;
+      const size_t avail = end_ - begin_;
+      const auto* nl = static_cast<const char*>(std::memchr(first, '\n', avail));
+      if (nl != nullptr || (eof_ && avail > 0)) {
+        const size_t len = nl != nullptr ? static_cast<size_t>(nl - first) : avail;
+        begin_ += len + (nl != nullptr);
+        ++line_no_;
+        if (len == 0 && skip_blank) continue;
+        *row = std::string_view(first, len - (len > 0 && first[len - 1] == '\r'));
+        return true;
+      }
+      if (eof_ || (too_long_ = avail == kBlockBytes)) return false;
+      std::memmove(buf_.get(), first, avail);
+      in_.read(buf_.get() + avail, static_cast<std::streamsize>(kBlockBytes - avail));
+      begin_ = 0;
+      end_ = avail + static_cast<size_t>(in_.gcount());
+      eof_ = end_ < kBlockBytes;
+    }
+  }
+
+  // A failure at the current row (or at the overlong row the scan stopped at).
+  Status Error(const char* what, StatusCode code = StatusCode::kInvalidArgument) const {
+    return Status(code, std::string(what) + " at line " +
+                            std::to_string(line_no_ + too_long_));
+  }
+  // Why the last Next() returned false, if not the end of the input.
+  Status status(const char* what) const { return too_long_ ? Error(what) : Status::OK(); }
+
+ private:
+  std::istream& in_;
+  std::unique_ptr<char[]> buf_;
+  size_t begin_ = 0, end_ = 0, line_no_ = 0;
+  bool eof_ = false, too_long_ = false;
+};
+
+// Parses one field starting at *p; it must end exactly at ',' (or, for the
+// last field, at the end of the row). Doubles round as strtod does, and
+// values strtod flags ERANGE (overflow, underflow, subnormal) are refused,
+// so every accepted file reads the same under std::stod.
+template <typename T>
+bool ParseField(const char*& p, const char* end, T& value, bool last) {
+  const auto [q, ec] = std::from_chars(p, end, value);
+  if (ec != std::errc() || (last ? q != end : (q == end || *q != ','))) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (std::fpclassify(value) == FP_SUBNORMAL) return false;
+  }
+  p = q + 1;
+  return true;
 }
+
+template <typename... T>
+bool ParseRow(std::string_view row, T&... values) {
+  const char* p = row.data();
+  size_t left = sizeof...(T);
+  return (ParseField(p, row.data() + row.size(), values, --left == 0) && ...);
+}
+
+size_t Commas(std::string_view row) { return std::count(row.begin(), row.end(), ','); }
+
+// Formats one number: doubles as %.17g (the same text as an ostream at
+// setprecision(17)), integers in decimal; 32 bytes fit either.
+char* Put(char* p, double v) {
+  return std::to_chars(p, p + 32, v, std::chars_format::general, 17).ptr;
+}
+char* Put(char* p, std::integral auto v) { return std::to_chars(p, p + 32, v).ptr; }
+
+template <typename... T>
+void PutRow(std::string& buf, const T&... values) {
+  char row[32 * sizeof...(T)];
+  char* p = row;
+  ((p = Put(p, values), *p++ = ','), ...);
+  p[-1] = '\n';
+  buf.append(row, p);
+}
+
+// A writer's row buffer: one block plus room for the row that crosses it.
+std::string RowBuffer(std::string head) {
+  head.reserve(kBlockBytes + 4096);
+  return head;
+}
+
+// Hands `buf` to the file once it holds a block, so a writer never buffers
+// more than one block. With `force` it also flushes, so that the caller's
+// stream check sees every write error.
+void Drain(std::ofstream& out, std::string& buf, bool force = false) {
+  if (!force && buf.size() < kBlockBytes) return;
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  buf.clear();
+  if (force) out.flush();
+}
+
+}  // namespace
 
 Status WriteMatrixCsv(const grid::ConsumptionMatrix& matrix,
                       const std::string& path) {
-  std::ofstream out(path);
+  obs::Span span("io/write_matrix_csv");
+  std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("WriteMatrixCsv: cannot open " + path);
-  out << std::setprecision(17);
-  out << "x,y,t,value\n";
+  std::string buf = RowBuffer("x,y,t,value\n");
   const grid::Dims& dims = matrix.dims();
   for (int x = 0; x < dims.cx; ++x) {
     for (int y = 0; y < dims.cy; ++y) {
       for (int t = 0; t < dims.ct; ++t) {
-        out << x << ',' << y << ',' << t << ',' << matrix.at(x, y, t) << '\n';
+        PutRow(buf, x, y, t, matrix.at(x, y, t));
+        Drain(out, buf);
       }
     }
   }
+  Drain(out, buf, true);
   if (!out) return Status::Internal("WriteMatrixCsv: write failed for " + path);
   return Status::OK();
 }
 
 StatusOr<grid::ConsumptionMatrix> ReadMatrixCsv(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("ReadMatrixCsv: cannot open " + path);
   return ReadMatrixCsv(in);
 }
 
 StatusOr<grid::ConsumptionMatrix> ReadMatrixCsv(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || SplitCsvLine(line).size() != 4) {
+  obs::Span span("io/read_matrix_csv");
+  RowScanner rows(in);
+  std::string_view row;
+  if (!rows.Next(&row, false) || Commas(row) != 3) {
     return Status::InvalidArgument("ReadMatrixCsv: missing x,y,t,value header");
   }
   struct Cell {
@@ -53,39 +164,20 @@ StatusOr<grid::ConsumptionMatrix> ReadMatrixCsv(std::istream& in) {
   };
   std::vector<Cell> cells;
   int max_x = -1, max_y = -1, max_t = -1;
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto fields = SplitCsvLine(line);
-    if (fields.size() != 4) {
-      return Status::InvalidArgument("ReadMatrixCsv: bad field count at line " +
-                                     std::to_string(line_no));
+  while (rows.Next(&row)) {
+    Cell c{};
+    if (!ParseRow(row, c.x, c.y, c.t, c.v)) return rows.Error("ReadMatrixCsv: parse error");
+    if (c.x < 0 || c.y < 0 || c.t < 0) return rows.Error("ReadMatrixCsv: negative index");
+    if (c.x >= kMaxCsvAxis || c.y >= kMaxCsvAxis || c.t >= kMaxCsvAxis) {
+      return rows.Error("ReadMatrixCsv: index exceeds axis limit");
     }
-    try {
-      Cell c{std::stoi(fields[0]), std::stoi(fields[1]), std::stoi(fields[2]),
-             std::stod(fields[3])};
-      if (c.x < 0 || c.y < 0 || c.t < 0) {
-        return Status::InvalidArgument("ReadMatrixCsv: negative index at line " +
-                                       std::to_string(line_no));
-      }
-      if (c.x >= kMaxCsvAxis || c.y >= kMaxCsvAxis || c.t >= kMaxCsvAxis) {
-        return Status::InvalidArgument("ReadMatrixCsv: index exceeds axis limit at line " +
-                                       std::to_string(line_no));
-      }
-      if (!std::isfinite(c.v)) {
-        return Status::InvalidArgument("ReadMatrixCsv: non-finite value at line " +
-                                       std::to_string(line_no));
-      }
-      max_x = std::max(max_x, c.x);
-      max_y = std::max(max_y, c.y);
-      max_t = std::max(max_t, c.t);
-      cells.push_back(c);
-    } catch (const std::exception&) {
-      return Status::InvalidArgument("ReadMatrixCsv: parse error at line " +
-                                     std::to_string(line_no));
-    }
+    if (!std::isfinite(c.v)) return rows.Error("ReadMatrixCsv: non-finite value");
+    max_x = std::max(max_x, c.x);
+    max_y = std::max(max_y, c.y);
+    max_t = std::max(max_t, c.t);
+    cells.push_back(c);
   }
+  STPT_RETURN_IF_ERROR(rows.status("ReadMatrixCsv: row longer than the read block"));
   if (cells.empty()) return Status::InvalidArgument("ReadMatrixCsv: no data rows");
   // Check that the rows fill the inferred dims *before* allocating the
   // matrix: a single hostile row like "999999,999999,999999,1" must not
@@ -117,52 +209,50 @@ StatusOr<grid::ConsumptionMatrix> ReadMatrixCsv(std::istream& in) {
 
 Status WriteDatasetCsv(const datagen::SyntheticDataset& dataset,
                        const std::string& path) {
-  std::ofstream out(path);
+  obs::Span span("io/write_dataset_csv");
+  std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("WriteDatasetCsv: cannot open " + path);
-  out << std::setprecision(17);
   const auto& s = dataset.spec;
-  out << "# " << s.name << ',' << s.num_households << ',' << s.mean_kwh << ','
-      << s.std_kwh << ',' << s.max_kwh << ',' << s.clip_factor << ','
-      << dataset.grid_x << ',' << dataset.grid_y << ',' << dataset.hours << '\n';
-  out << "household,cell_x,cell_y,hour,kwh\n";
+  std::string buf = RowBuffer("# " + s.name + ',');
+  PutRow(buf, s.num_households, s.mean_kwh, s.std_kwh, s.max_kwh, s.clip_factor,
+         dataset.grid_x, dataset.grid_y, dataset.hours);
+  buf += "household,cell_x,cell_y,hour,kwh\n";
   for (size_t h = 0; h < dataset.households.size(); ++h) {
     const auto& house = dataset.households[h];
     for (int t = 0; t < dataset.hours; ++t) {
-      out << h << ',' << house.cell_x << ',' << house.cell_y << ',' << t << ','
-          << house.series[t] << '\n';
+      PutRow(buf, h, house.cell_x, house.cell_y, t, house.series[t]);
+      Drain(out, buf);
     }
   }
+  Drain(out, buf, true);
   if (!out) return Status::Internal("WriteDatasetCsv: write failed for " + path);
   return Status::OK();
 }
 
 StatusOr<datagen::SyntheticDataset> ReadDatasetCsv(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("ReadDatasetCsv: cannot open " + path);
   return ReadDatasetCsv(in);
 }
 
 StatusOr<datagen::SyntheticDataset> ReadDatasetCsv(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line.size() < 3 || line[0] != '#') {
+  obs::Span span("io/read_dataset_csv");
+  RowScanner rows(in);
+  std::string_view row;
+  if (!rows.Next(&row, false) || row.size() < 3 || row[0] != '#') {
     return Status::InvalidArgument("ReadDatasetCsv: missing spec comment line");
   }
-  const auto meta = SplitCsvLine(line.substr(2));
-  if (meta.size() != 9) {
+  // `# name,num_households,mean,std,max,clip,grid_x,grid_y,hours`
+  row.remove_prefix(2);
+  const size_t name_end = row.find(',');
+  if (name_end == std::string_view::npos || Commas(row) != 8) {
     return Status::InvalidArgument("ReadDatasetCsv: bad spec line");
   }
   datagen::SyntheticDataset ds;
-  try {
-    ds.spec.name = meta[0];
-    ds.spec.num_households = std::stoi(meta[1]);
-    ds.spec.mean_kwh = std::stod(meta[2]);
-    ds.spec.std_kwh = std::stod(meta[3]);
-    ds.spec.max_kwh = std::stod(meta[4]);
-    ds.spec.clip_factor = std::stod(meta[5]);
-    ds.grid_x = std::stoi(meta[6]);
-    ds.grid_y = std::stoi(meta[7]);
-    ds.hours = std::stoi(meta[8]);
-  } catch (const std::exception&) {
+  ds.spec.name = std::string(row.substr(0, name_end));
+  if (!ParseRow(row.substr(name_end + 1), ds.spec.num_households, ds.spec.mean_kwh,
+                ds.spec.std_kwh, ds.spec.max_kwh, ds.spec.clip_factor, ds.grid_x,
+                ds.grid_y, ds.hours)) {
     return Status::InvalidArgument("ReadDatasetCsv: spec parse error");
   }
   if (ds.spec.num_households <= 0 || ds.hours <= 0) {
@@ -192,66 +282,50 @@ StatusOr<datagen::SyntheticDataset> ReadDatasetCsv(std::istream& in) {
     return Status::ResourceExhausted("ReadDatasetCsv: cannot allocate dataset");
   }
 
-  if (!std::getline(in, line) || SplitCsvLine(line).size() != 5) {
+  if (!rows.Next(&row, false) || Commas(row) != 4) {
     return Status::InvalidArgument("ReadDatasetCsv: missing data header");
   }
-  size_t line_no = 2;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto fields = SplitCsvLine(line);
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("ReadDatasetCsv: bad field count at line " +
-                                     std::to_string(line_no));
+  while (rows.Next(&row)) {
+    int h = 0, cx = 0, cy = 0, t = 0;
+    double kwh = 0;
+    if (!ParseRow(row, h, cx, cy, t, kwh)) return rows.Error("ReadDatasetCsv: parse error");
+    if (h < 0 || h >= ds.spec.num_households || t < 0 || t >= ds.hours) {
+      return rows.Error("ReadDatasetCsv: index out of range", StatusCode::kOutOfRange);
     }
-    try {
-      const int h = std::stoi(fields[0]);
-      const int t = std::stoi(fields[3]);
-      if (h < 0 || h >= ds.spec.num_households || t < 0 || t >= ds.hours) {
-        return Status::OutOfRange("ReadDatasetCsv: index out of range at line " +
-                                  std::to_string(line_no));
-      }
-      const int cx = std::stoi(fields[1]);
-      const int cy = std::stoi(fields[2]);
-      if (cx < 0 || cx >= ds.grid_x || cy < 0 || cy >= ds.grid_y) {
-        return Status::OutOfRange("ReadDatasetCsv: cell outside grid at line " +
-                                  std::to_string(line_no));
-      }
-      const double kwh = std::stod(fields[4]);
-      if (!std::isfinite(kwh)) {
-        return Status::InvalidArgument("ReadDatasetCsv: non-finite reading at line " +
-                                       std::to_string(line_no));
-      }
-      ds.households[h].cell_x = cx;
-      ds.households[h].cell_y = cy;
-      ds.households[h].series[t] = kwh;
-    } catch (const std::exception&) {
-      return Status::InvalidArgument("ReadDatasetCsv: parse error at line " +
-                                     std::to_string(line_no));
+    if (cx < 0 || cx >= ds.grid_x || cy < 0 || cy >= ds.grid_y) {
+      return rows.Error("ReadDatasetCsv: cell outside grid", StatusCode::kOutOfRange);
     }
+    if (!std::isfinite(kwh)) return rows.Error("ReadDatasetCsv: non-finite reading");
+    ds.households[h].cell_x = cx;
+    ds.households[h].cell_y = cy;
+    ds.households[h].series[t] = kwh;
   }
+  STPT_RETURN_IF_ERROR(rows.status("ReadDatasetCsv: row longer than the read block"));
   return ds;
 }
 
 Status WriteTableCsv(const std::vector<std::string>& headers,
                      const std::vector<std::vector<double>>& rows,
                      const std::string& path) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("WriteTableCsv: cannot open " + path);
-  out << std::setprecision(17);
-  for (size_t i = 0; i < headers.size(); ++i) {
-    out << headers[i] << (i + 1 < headers.size() ? "," : "");
-  }
-  out << '\n';
+  std::string buf = RowBuffer("");
+  for (const auto& header : headers) buf += header + ',';
+  if (!headers.empty()) buf.pop_back();
+  buf += '\n';
   for (const auto& row : rows) {
     if (row.size() != headers.size()) {
       return Status::InvalidArgument("WriteTableCsv: row width mismatch");
     }
-    for (size_t i = 0; i < row.size(); ++i) {
-      out << row[i] << (i + 1 < row.size() ? "," : "");
+    for (const double v : row) {
+      PutRow(buf, v);
+      buf.back() = ',';
     }
-    out << '\n';
+    if (!row.empty()) buf.pop_back();
+    buf += '\n';
+    Drain(out, buf);
   }
+  Drain(out, buf, true);
   if (!out) return Status::Internal("WriteTableCsv: write failed for " + path);
   return Status::OK();
 }

@@ -56,10 +56,6 @@ Status WriteTableCsv(const std::vector<std::string>& headers,
                      const std::vector<std::vector<double>>& rows,
                      const std::string& path);
 
-/// Splits one CSV line on commas (no quoting support; the writers above
-/// never emit quoted fields).
-std::vector<std::string> SplitCsvLine(const std::string& line);
-
 }  // namespace stpt::io
 
 #endif  // STPT_IO_CSV_H_

@@ -47,9 +47,11 @@ const Backend* NaiveBackendInstance();
 const Backend* Avx2BackendInstance();
 
 /// Products below this many flops run inline instead of on the exec pool
-/// (moved from nn/ops.cc; shared by both backends so dispatch behaviour is
-/// part of the oracle contract, not an implementation detail).
-inline constexpr int64_t kMatMulParallelFlops = 32 * 1024;
+/// (shared by both backends so dispatch behaviour is part of the oracle
+/// contract, not an implementation detail). 2^18 = 64³: BM_MatMulThreads
+/// shows the pool hand-off doubling a 32³ product and paying off at 64³, so
+/// every STPT training MatMul (at most 32·6·32·32 flops) stays inline.
+inline constexpr int64_t kMatMulParallelFlops = int64_t{1} << 18;
 
 }  // namespace stpt::kernels
 

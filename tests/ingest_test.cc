@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1007,6 +1008,10 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
   std::atomic<int64_t> errors{0};
   std::atomic<int64_t> queries{0};
   std::atomic<uint64_t> max_epoch{0};
+  // The feeder's last acked epoch. Once `done` is set, clients keep querying
+  // until they see it (for at most 5 s), so whether the final swap reaches
+  // readers does not hang on whether a query happened to follow its ack.
+  std::atomic<uint64_t> final_epoch{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -1024,7 +1029,13 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
         return;
       }
       uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_relaxed)) {
+      std::optional<std::chrono::steady_clock::time_point> stop_by;
+      for (;;) {
+        if (done.load()) {
+          const auto now = std::chrono::steady_clock::now();
+          if (!stop_by) stop_by = now + std::chrono::seconds(5);
+          if (last_epoch >= final_epoch.load() || now > *stop_by) break;
+        }
         auto response = client->QueryTenant("", "", *wl);
         // Zero-downtime contract: every query during a swap storm answers,
         // and the observed epoch never moves backwards.
@@ -1057,6 +1068,7 @@ TEST_F(IngestLoopbackTest, HammerAcrossTenRepublishesZeroErrorsMonotoneEpoch) {
     last_epoch = ack->epoch;
   }
   EXPECT_GE(republishes, 10);
+  final_epoch.store(last_epoch);
   done.store(true);
   for (std::thread& t : clients) t.join();
 

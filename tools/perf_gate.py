@@ -2,7 +2,7 @@
 """Perf gate for the per-backend kernel rows of bench_micro.
 
 Compares a fresh BENCH_micro.json against the checked-in baseline and
-enforces two properties:
+enforces three properties:
 
   1. No kernel row (name starting with BM_Kernel) regresses more than
      --tolerance (default 30%) in real_time against the same-named row of
@@ -12,6 +12,12 @@ enforces two properties:
   2. Within the fresh run, the avx2 backend is at least --min-speedup
      (default 1.5x) faster than naive on the MatMul and PrefixSum kernel
      families. Skipped when the runner lacks AVX2.
+  3. Within the fresh run, the end-to-end publish at 4 exec threads takes
+     at most 1.1 times the 1-thread time, comparing medians of
+     --benchmark_repetitions=5 (run with
+     --benchmark_enable_random_interleaving=true, so that host noise hits
+     both sides alike). A ratio of two rows from one run does not depend on
+     the host, so this gate is always hard.
 
 Rows present in only one file are reported but never fail the gate, so
 adding or retiring benchmarks does not require lockstep baseline updates.
@@ -27,17 +33,25 @@ import sys
 
 KERNEL_PREFIX = "BM_Kernel"
 SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelPrefixSum")
+PUBLISH_1T = "BM_StptPublish/1/iterations:1"
+PUBLISH_4T = "BM_StptPublish/4/iterations:1"
+MAX_PUBLISH_RATIO = 1.1
 
 
 def load_rows(path):
+    """Maps each run name to (real_time, unit): the median over repetitions
+    when the run has one, else its single iteration row."""
     with open(path) as f:
         doc = json.load(f)
-    rows = {}
+    rows, medians = {}, {}
     for b in doc.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        rows[b["name"]] = (float(b["real_time"]), b.get("time_unit", "ns"))
-    return doc.get("context", {}), rows
+        row = (float(b["real_time"]), b.get("time_unit", "ns"))
+        if b.get("run_type", "iteration") == "iteration":
+            rows[b["name"]] = row
+        elif b.get("aggregate_name") == "median":
+            medians[b.get("run_name", b["name"])] = row
+    rows.update(medians)
+    return doc.get("context", {}), rows, set(medians)
 
 
 def main():
@@ -50,8 +64,8 @@ def main():
                     help="required naive/avx2 ratio for MatMul and PrefixSum")
     args = ap.parse_args()
 
-    fresh_ctx, fresh = load_rows(args.fresh)
-    _, baseline = load_rows(args.baseline)
+    fresh_ctx, fresh, fresh_medians = load_rows(args.fresh)
+    _, baseline, _ = load_rows(args.baseline)
     has_avx2 = fresh_ctx.get("stpt_avx2") == "1"
     hard = has_avx2  # warn-only on runners without AVX2
 
@@ -103,6 +117,18 @@ def main():
     else:
         print("runner lacks AVX2: speedup check skipped, "
               "regressions reported as warnings")
+
+    # 3. 4-thread vs 1-thread publish inside the fresh run.
+    if not {PUBLISH_1T, PUBLISH_4T} <= fresh_medians:
+        failures.append(f"{PUBLISH_1T} / {PUBLISH_4T}: no median rows "
+                        "(run with --benchmark_repetitions=5)")
+    else:
+        ratio = fresh[PUBLISH_4T][0] / fresh[PUBLISH_1T][0]
+        line = f"BM_StptPublish: 4-thread/1-thread median ratio {ratio:.2f}"
+        if ratio > MAX_PUBLISH_RATIO:
+            failures.append(f"{line} — above {MAX_PUBLISH_RATIO:.2f}")
+        else:
+            print(line)
 
     for w in warnings:
         print(f"::warning title=perf gate::{w}")

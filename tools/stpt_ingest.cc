@@ -95,14 +95,16 @@ int Run(const FlagSet& flags) {
   const int64_t total = flags.GetInt("readings");
   const int64_t batch_size = flags.GetInt("batch");
   const int64_t t_offset = flags.GetInt("t-offset");
+  // Checked before the clamp below, which would otherwise turn an offset
+  // past the grid into a non-positive --slices.
+  if (t_offset < 0 || t_offset >= ct) {
+    return Fail(Status::InvalidArgument("--t-offset must lie inside the grid"));
+  }
   const int64_t slices =
       std::min<int64_t>(flags.GetInt("slices"), ct - t_offset);
   if (total <= 0 || batch_size <= 0 || slices <= 0) {
     return Fail(Status::InvalidArgument(
         "--readings, --batch and --slices must be positive"));
-  }
-  if (t_offset < 0 || t_offset >= ct) {
-    return Fail(Status::InvalidArgument("--t-offset must lie inside the grid"));
   }
   const std::string fail_on = flags.GetString("fail-on");
   if (fail_on != "reject" && fail_on != "clamp" && fail_on != "none") {

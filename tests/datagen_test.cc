@@ -6,6 +6,12 @@
 #include "gtest/gtest.h"
 
 namespace stpt::datagen {
+
+// Prints a spec by its name. gtest's default byte dump of the struct
+// includes the std::string's heap pointer, which puts a per-process
+// address into the test names that ctest discovers.
+void PrintTo(const DatasetSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 GenerateOptions SmallOptions() {

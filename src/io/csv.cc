@@ -16,8 +16,8 @@
 namespace stpt::io {
 namespace {
 
-// Readers pull the stream in blocks of this size and writers flush at it,
-// so a file of any size costs at most one block of buffer memory.
+// Readers pull the stream in blocks of this size, so a file of any size
+// costs at most one block of buffer memory.
 constexpr size_t kBlockBytes = size_t{1} << 20;
 
 // Splits a stream into rows: one memchr per row over the current block, the
@@ -99,28 +99,12 @@ char* Put(char* p, double v) {
 char* Put(char* p, std::integral auto v) { return std::to_chars(p, p + 32, v).ptr; }
 
 template <typename... T>
-void PutRow(std::string& buf, const T&... values) {
+void PutRow(std::ostream& out, const T&... values) {
   char row[32 * sizeof...(T)];
   char* p = row;
   ((p = Put(p, values), *p++ = ','), ...);
   p[-1] = '\n';
-  buf.append(row, p);
-}
-
-// A writer's row buffer: one block plus room for the row that crosses it.
-std::string RowBuffer(std::string head) {
-  head.reserve(kBlockBytes + 4096);
-  return head;
-}
-
-// Hands `buf` to the file once it holds a block, so a writer never buffers
-// more than one block. With `force` it also flushes, so that the caller's
-// stream check sees every write error.
-void Drain(std::ofstream& out, std::string& buf, bool force = false) {
-  if (!force && buf.size() < kBlockBytes) return;
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  buf.clear();
-  if (force) out.flush();
+  out.write(row, p - row);
 }
 
 }  // namespace
@@ -130,17 +114,16 @@ Status WriteMatrixCsv(const grid::ConsumptionMatrix& matrix,
   obs::Span span("io/write_matrix_csv");
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("WriteMatrixCsv: cannot open " + path);
-  std::string buf = RowBuffer("x,y,t,value\n");
+  out << "x,y,t,value\n";
   const grid::Dims& dims = matrix.dims();
   for (int x = 0; x < dims.cx; ++x) {
     for (int y = 0; y < dims.cy; ++y) {
       for (int t = 0; t < dims.ct; ++t) {
-        PutRow(buf, x, y, t, matrix.at(x, y, t));
-        Drain(out, buf);
+        PutRow(out, x, y, t, matrix.at(x, y, t));
       }
     }
   }
-  Drain(out, buf, true);
+  out.flush();
   if (!out) return Status::Internal("WriteMatrixCsv: write failed for " + path);
   return Status::OK();
 }
@@ -213,18 +196,17 @@ Status WriteDatasetCsv(const datagen::SyntheticDataset& dataset,
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("WriteDatasetCsv: cannot open " + path);
   const auto& s = dataset.spec;
-  std::string buf = RowBuffer("# " + s.name + ',');
-  PutRow(buf, s.num_households, s.mean_kwh, s.std_kwh, s.max_kwh, s.clip_factor,
+  out << "# " << s.name << ',';
+  PutRow(out, s.num_households, s.mean_kwh, s.std_kwh, s.max_kwh, s.clip_factor,
          dataset.grid_x, dataset.grid_y, dataset.hours);
-  buf += "household,cell_x,cell_y,hour,kwh\n";
+  out << "household,cell_x,cell_y,hour,kwh\n";
   for (size_t h = 0; h < dataset.households.size(); ++h) {
     const auto& house = dataset.households[h];
     for (int t = 0; t < dataset.hours; ++t) {
-      PutRow(buf, h, house.cell_x, house.cell_y, t, house.series[t]);
-      Drain(out, buf);
+      PutRow(out, h, house.cell_x, house.cell_y, t, house.series[t]);
     }
   }
-  Drain(out, buf, true);
+  out.flush();
   if (!out) return Status::Internal("WriteDatasetCsv: write failed for " + path);
   return Status::OK();
 }
@@ -309,23 +291,22 @@ Status WriteTableCsv(const std::vector<std::string>& headers,
                      const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("WriteTableCsv: cannot open " + path);
-  std::string buf = RowBuffer("");
-  for (const auto& header : headers) buf += header + ',';
-  if (!headers.empty()) buf.pop_back();
-  buf += '\n';
+  for (size_t i = 0; i < headers.size(); ++i) {
+    out << (i > 0 ? "," : "") << headers[i];
+  }
+  out << '\n';
   for (const auto& row : rows) {
     if (row.size() != headers.size()) {
       return Status::InvalidArgument("WriteTableCsv: row width mismatch");
     }
-    for (const double v : row) {
-      PutRow(buf, v);
-      buf.back() = ',';
+    for (size_t i = 0; i < row.size(); ++i) {
+      char cell[32];
+      if (i > 0) out << ',';
+      out.write(cell, Put(cell, row[i]) - cell);
     }
-    if (!row.empty()) buf.pop_back();
-    buf += '\n';
-    Drain(out, buf);
+    out << '\n';
   }
-  Drain(out, buf, true);
+  out.flush();
   if (!out) return Status::Internal("WriteTableCsv: write failed for " + path);
   return Status::OK();
 }

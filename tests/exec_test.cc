@@ -17,6 +17,7 @@
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
 #include "exec/timing.h"
+#include "kernels/internal.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 
@@ -94,9 +95,13 @@ TEST(ParallelForTest, NestedRegionsDoNotDeadlock) {
 }
 
 TEST(ParallelForTest, SerialAndParallelMatMulBitIdentical) {
+  // Large enough that the 7-thread product takes the pool's row-partitioned
+  // path rather than running inline.
+  constexpr int kM = 96, kK = 64, kN = 56;
+  static_assert(int64_t{kM} * kK * kN >= kernels::kMatMulParallelFlops);
   Rng rng(7);
-  const nn::Tensor a = nn::Tensor::Randn({64, 48}, rng, 1.0);
-  const nn::Tensor b = nn::Tensor::Randn({48, 56}, rng, 1.0);
+  const nn::Tensor a = nn::Tensor::Randn({kM, kK}, rng, 1.0);
+  const nn::Tensor b = nn::Tensor::Randn({kK, kN}, rng, 1.0);
   ThreadGuard guard;
   exec::SetThreads(1);
   const nn::Tensor c1 = nn::MatMul(a, b);

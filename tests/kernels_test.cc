@@ -6,6 +6,8 @@
 // registry / default-dispatch surface and the cross-backend bit-identity of
 // the ingest incremental prefix maintenance.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "ingest/incremental_prefix.h"
 #include "kernels/backend.h"
 #include "kernels/checker.h"
+#include "kernels/internal.h"
 
 namespace stpt::kernels {
 namespace {
@@ -46,7 +49,13 @@ class KernelSweepTest : public ::testing::TestWithParam<int> {
 
 TEST_P(KernelSweepTest, MatMulAgreesWithOracle) {
   const Backend* naive = GetBackend(BackendKind::kNaive);
-  const int sizes[] = {1, 3, 7, 17, 64};
+  // Sizes past 64 put odd, non-square and transposed shapes (17x128x128,
+  // 128x17x128, 65x65x65, 64x65x64, ...) over the parallel-dispatch
+  // threshold, so the row-partitioned forward and backward paths are
+  // checked too.
+  const int sizes[] = {1, 3, 7, 17, 64, 65, 128};
+  static_assert(int64_t{17} * 128 * 128 >= kMatMulParallelFlops);
+  static_assert(int64_t{65} * 65 * 65 >= kMatMulParallelFlops);
   for (const Backend* backend : AllBackends()) {
     Checker checker(naive, backend);
     uint64_t seed = 100;
@@ -74,21 +83,26 @@ TEST_P(KernelSweepTest, BatchedMatMulAgreesWithOracle) {
   for (const Backend* backend : AllBackends()) {
     Checker checker(naive, backend);
     uint64_t seed = 900;
-    for (int batch : {2, 3}) {
-      for (bool b_batched : {false, true}) {
-        for (bool transpose_b : {false, true}) {
-          MatMulShape s;
-          s.batch = batch;
-          s.m = 5;
-          s.n = 9;
-          s.k = 33;
-          s.b_batched = b_batched;
-          s.transpose_b = transpose_b;
-          const Status st = checker.CheckMatMul(s, ++seed, kMatMulEps);
-          ASSERT_TRUE(st.ok())
-              << backend->name() << " batch=" << batch
-              << " b_batched=" << b_batched << " transpose_b=" << transpose_b
-              << ": " << st.ToString();
+    // The second shape is over the parallel-dispatch threshold, so the
+    // per-batch and shared-B backward partitions are checked as well.
+    static_assert(int64_t{2} * 48 * 65 * 43 >= kMatMulParallelFlops);
+    for (const auto [m, n, k] : {std::array{5, 9, 33}, std::array{48, 65, 43}}) {
+      for (int batch : {2, 3}) {
+        for (bool b_batched : {false, true}) {
+          for (bool transpose_b : {false, true}) {
+            MatMulShape s;
+            s.batch = batch;
+            s.m = m;
+            s.n = n;
+            s.k = k;
+            s.b_batched = b_batched;
+            s.transpose_b = transpose_b;
+            const Status st = checker.CheckMatMul(s, ++seed, kMatMulEps);
+            ASSERT_TRUE(st.ok())
+                << backend->name() << " m=" << m << " n=" << n << " k=" << k
+                << " batch=" << batch << " b_batched=" << b_batched
+                << " transpose_b=" << transpose_b << ": " << st.ToString();
+          }
         }
       }
     }
@@ -172,7 +186,9 @@ TEST_P(KernelSweepTest, SamplersBitExactAcrossBackends) {
 // flush-to-zero mode is ever enabled).
 TEST_P(KernelSweepTest, DenormalInputsAgree) {
   const Backend* naive = GetBackend(BackendKind::kNaive);
-  const int n = 32;
+  // Large enough that the 8-thread run takes the parallel MatMul path.
+  const int n = 65;
+  static_assert(int64_t{65} * 65 * 65 >= kMatMulParallelFlops);
   std::vector<double> a(n * n), b(n * n);
   Rng rng(42);
   for (size_t i = 0; i < a.size(); ++i) {
@@ -183,10 +199,13 @@ TEST_P(KernelSweepTest, DenormalInputsAgree) {
   s.m = s.n = s.k = n;
   std::vector<double> c_ref(n * n), c_test(n * n);
   for (const Backend* backend : AllBackends()) {
+    // NaN fill: a row the backend skips cannot pass on the previous
+    // backend's output. Sums are ~1e-319, so 1e-321 is ~200 subnormal ulps.
+    std::fill(c_test.begin(), c_test.end(), std::nan(""));
     naive->MatMulFwd(a.data(), b.data(), c_ref.data(), s);
     backend->MatMulFwd(a.data(), b.data(), c_test.data(), s);
     for (size_t i = 0; i < c_ref.size(); ++i) {
-      ASSERT_NEAR(c_ref[i], c_test[i], 1e-300) << backend->name() << " " << i;
+      ASSERT_NEAR(c_ref[i], c_test[i], 1e-321) << backend->name() << " " << i;
     }
     // Scans over denormals must be bitwise identical.
     std::vector<double> s_ref(a), s_test(a);

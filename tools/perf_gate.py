@@ -13,11 +13,14 @@ enforces three properties:
      (default 1.5x) faster than naive on the MatMul and PrefixSum kernel
      families. Skipped when the runner lacks AVX2.
   3. Within the fresh run, the end-to-end publish at 4 exec threads takes
-     at most 1.1 times the 1-thread time, comparing medians of
+     at most 1.25 times the 1-thread time, comparing medians of
      --benchmark_repetitions=5 (run with
      --benchmark_enable_random_interleaving=true, so that host noise hits
-     both sides alike). A ratio of two rows from one run does not depend on
-     the host, so this gate is always hard.
+     both sides alike). Eight such runs on a 4-vCPU VM gave ratios of
+     0.97-1.10; three with the MatMul pool threshold set back to 32*1024
+     (every GRU MatMul handed to the pool) gave 1.36-6.86. Hard when the
+     runner has at least 4 CPUs; skipped on smaller runners, where 4
+     threads oversubscribe the cores.
 
 Rows present in only one file are reported but never fail the gate, so
 adding or retiring benchmarks does not require lockstep baseline updates.
@@ -33,9 +36,10 @@ import sys
 
 KERNEL_PREFIX = "BM_Kernel"
 SPEEDUP_FAMILIES = ("BM_KernelMatMul", "BM_KernelPrefixSum")
-PUBLISH_1T = "BM_StptPublish/1/iterations:1"
-PUBLISH_4T = "BM_StptPublish/4/iterations:1"
-MAX_PUBLISH_RATIO = 1.1
+PUBLISH_1T = "BM_StptPublish/1/"
+PUBLISH_4T = "BM_StptPublish/4/"
+MAX_PUBLISH_RATIO = 1.25
+PUBLISH_MIN_CPUS = 4
 
 
 def load_rows(path):
@@ -118,12 +122,18 @@ def main():
         print("runner lacks AVX2: speedup check skipped, "
               "regressions reported as warnings")
 
-    # 3. 4-thread vs 1-thread publish inside the fresh run.
-    if not {PUBLISH_1T, PUBLISH_4T} <= fresh_medians:
-        failures.append(f"{PUBLISH_1T} / {PUBLISH_4T}: no median rows "
+    # 3. 4-thread vs 1-thread publish inside the fresh run. Rows are found
+    # by prefix, so the name suffix (min_time, iterations) may change.
+    publish = [next((n for n in sorted(fresh_medians) if n.startswith(p)), None)
+               for p in (PUBLISH_1T, PUBLISH_4T)]
+    cpus = int(fresh_ctx.get("num_cpus", 0))
+    if cpus < PUBLISH_MIN_CPUS:
+        print(f"runner has {cpus} CPUs: 4-thread publish ratio check skipped")
+    elif None in publish:
+        failures.append(f"{PUBLISH_1T}* / {PUBLISH_4T}*: no median rows "
                         "(run with --benchmark_repetitions=5)")
     else:
-        ratio = fresh[PUBLISH_4T][0] / fresh[PUBLISH_1T][0]
+        ratio = fresh[publish[1]][0] / fresh[publish[0]][0]
         line = f"BM_StptPublish: 4-thread/1-thread median ratio {ratio:.2f}"
         if ratio > MAX_PUBLISH_RATIO:
             failures.append(f"{line} — above {MAX_PUBLISH_RATIO:.2f}")
